@@ -1,12 +1,13 @@
 // Benchmarks regenerating the paper's evaluation artifacts (§V): one bench
-// per table and figure, plus ablations of the design choices called out in
-// DESIGN.md and micro-benchmarks of the label machinery.
+// covering Table I and Figs. 3-7 per protocol, plus ablations of the design
+// choices called out in DESIGN.md, a large-N tier, and micro-benchmarks of
+// the label machinery.
 //
 // Scenario benches run the Small experiment scale (30 nodes, 14 flows,
 // 120 s) so `go test -bench=.` finishes in minutes; the shapes match the
-// mid/full scales driven by cmd/experiments. Each bench reports the paper's
-// metric for that figure via b.ReportMetric, so the bench output doubles as
-// a results table.
+// mid/full scales driven by cmd/experiments. BenchmarkPaper reports every
+// table and figure metric via b.ReportMetric, so the bench output doubles
+// as a results table.
 package slr_test
 
 import (
@@ -50,80 +51,33 @@ func runPoint(b *testing.B, p scenario.Params, report map[string]func(scenario.R
 	}
 }
 
-// BenchmarkTable1 regenerates Table I: delivery ratio, network load, and
-// latency per protocol (averaged over trials at the bench pause point).
-func BenchmarkTable1(b *testing.B) {
+// BenchmarkPaper regenerates the paper's per-protocol metrics at the bench
+// pause point, one simulation per protocol and iteration: Table I and
+// Figs. 4-6 (delivery ratio, network load, latency), Fig. 3 (MAC drops per
+// node), and, for the three sequence-number protocols, Fig. 7 (average
+// node sequence number; SRP must report exactly 0).
+func BenchmarkPaper(b *testing.B) {
 	for _, proto := range scenario.AllProtocols {
 		b.Run(string(proto), func(b *testing.B) {
-			runPoint(b, benchParams(proto, 1), map[string]func(scenario.Result) float64{
+			report := map[string]func(scenario.Result) float64{
 				"deliv-ratio": func(r scenario.Result) float64 { return r.DeliveryRatio },
 				"net-load":    func(r scenario.Result) float64 { return r.NetworkLoad },
 				"latency-s":   func(r scenario.Result) float64 { return r.Latency },
-			})
-		})
-	}
-}
-
-// BenchmarkFig3MACDrops regenerates Fig. 3: mean MAC-layer drops per node.
-func BenchmarkFig3MACDrops(b *testing.B) {
-	for _, proto := range scenario.AllProtocols {
-		b.Run(string(proto), func(b *testing.B) {
-			runPoint(b, benchParams(proto, 1), map[string]func(scenario.Result) float64{
-				"mac-drops": func(r scenario.Result) float64 { return r.MACDrops },
-			})
-		})
-	}
-}
-
-// BenchmarkFig4Delivery regenerates Fig. 4: delivery ratio.
-func BenchmarkFig4Delivery(b *testing.B) {
-	for _, proto := range scenario.AllProtocols {
-		b.Run(string(proto), func(b *testing.B) {
-			runPoint(b, benchParams(proto, 1), map[string]func(scenario.Result) float64{
-				"deliv-ratio": func(r scenario.Result) float64 { return r.DeliveryRatio },
-			})
-		})
-	}
-}
-
-// BenchmarkFig5NetLoad regenerates Fig. 5: control packets per delivered
-// data packet.
-func BenchmarkFig5NetLoad(b *testing.B) {
-	for _, proto := range scenario.AllProtocols {
-		b.Run(string(proto), func(b *testing.B) {
-			runPoint(b, benchParams(proto, 1), map[string]func(scenario.Result) float64{
-				"net-load": func(r scenario.Result) float64 { return r.NetworkLoad },
-			})
-		})
-	}
-}
-
-// BenchmarkFig6Latency regenerates Fig. 6: mean end-to-end data latency.
-func BenchmarkFig6Latency(b *testing.B) {
-	for _, proto := range scenario.AllProtocols {
-		b.Run(string(proto), func(b *testing.B) {
-			runPoint(b, benchParams(proto, 1), map[string]func(scenario.Result) float64{
-				"latency-s": func(r scenario.Result) float64 { return r.Latency },
-			})
-		})
-	}
-}
-
-// BenchmarkFig7SeqNo regenerates Fig. 7: average node sequence number for
-// the three sequence-number protocols (SRP must report exactly 0).
-func BenchmarkFig7SeqNo(b *testing.B) {
-	for _, proto := range []scenario.ProtocolName{scenario.SRP, scenario.LDR, scenario.AODV} {
-		b.Run(string(proto), func(b *testing.B) {
-			runPoint(b, benchParams(proto, 1), map[string]func(scenario.Result) float64{
-				"avg-seqno": func(r scenario.Result) float64 { return r.AvgSeqno },
-			})
+				"mac-drops":   func(r scenario.Result) float64 { return r.MACDrops },
+			}
+			switch proto {
+			case scenario.SRP, scenario.LDR, scenario.AODV:
+				report["avg-seqno"] = func(r scenario.Result) float64 { return r.AvgSeqno }
+			}
+			runPoint(b, benchParams(proto, 1), report)
 		})
 	}
 }
 
 // srpVariant runs SRP with protocol-parameter overrides (the same
 // "protocol_params" map a scenario spec carries), reporting the headline
-// metrics, for the ablation benches.
+// metrics, for the ablation benches. Their baseline is SRP as published,
+// BenchmarkPaper/SRP.
 func srpVariant(b *testing.B, params map[string]float64) {
 	b.Helper()
 	p := benchParams(scenario.SRP, 1)
@@ -135,10 +89,6 @@ func srpVariant(b *testing.B, params map[string]float64) {
 		"max-denom":   func(r scenario.Result) float64 { return float64(r.MaxDenom) },
 	})
 }
-
-// BenchmarkAblationBaseline is SRP as published, for comparison with the
-// other Ablation* benches.
-func BenchmarkAblationBaseline(b *testing.B) { srpVariant(b, nil) }
 
 // BenchmarkAblationHello enables the protocol-complete periodic Hello
 // advertisements the paper's simulations run without.
@@ -215,37 +165,6 @@ func BenchmarkLargeN(b *testing.B) {
 					"deliv-ratio": func(r scenario.Result) float64 { return r.DeliveryRatio },
 				})
 			})
-		}
-	}
-}
-
-// BenchmarkParallelLargeN measures the opt-in parallel kernel (ROADMAP
-// item 5) against its own serial baseline: the same large-N point at
-// workers 1/2/4, output byte-identical by construction, so the only
-// thing moving is wall clock. Traffic is denser than BenchmarkLargeN
-// (200 flows at N=5000) because the parallel-safe work is collision- and
-// overhear-driven end-of-reception handling: dense traffic widens the
-// same-timestamp keyed windows the executor fans out. The N=5000 tier is
-// where workers pay off today (~10% at 4 workers); the N=20000/1s tier
-// is tracked honestly even though barrier events still fragment its
-// windows — the gap is the measure of how much of the MAC/routing hot
-// path remains to be keyed.
-func BenchmarkParallelLargeN(b *testing.B) {
-	for _, tier := range []struct {
-		n, flows int
-		dur      sim.Time
-	}{{5000, 200, 4 * time.Second}, {20000, 100, time.Second}} {
-		for _, proto := range []scenario.ProtocolName{scenario.SRP, scenario.OLSR} {
-			for _, w := range []int{1, 2, 4} {
-				b.Run(fmt.Sprintf("%s/N=%d/workers=%d", proto, tier.n, w), func(b *testing.B) {
-					p := largeNParamsDur(proto, tier.n, tier.dur)
-					p.Traffic.Flows = tier.flows
-					p.Workers = w
-					runPoint(b, p, map[string]func(scenario.Result) float64{
-						"deliv-ratio": func(r scenario.Result) float64 { return r.DeliveryRatio },
-					})
-				})
-			}
 		}
 	}
 }

@@ -3,9 +3,13 @@
 // harness and the scenario runner's invariant checking.
 package loopcheck
 
+import "sort"
+
 // FindCycle returns a directed cycle in adj as a node sequence whose first
 // and last elements coincide, or nil if the graph is acyclic. The search is
-// iterative, so deep graphs cannot overflow the stack.
+// iterative, so deep graphs cannot overflow the stack. The result depends
+// only on adj's contents: roots are visited in ascending node order and
+// the cycle is rotated to start at its smallest node.
 func FindCycle(adj map[int][]int) []int {
 	const (
 		white = 0
@@ -13,8 +17,13 @@ func FindCycle(adj map[int][]int) []int {
 		black = 2
 	)
 	color := make(map[int]int, len(adj))
+	roots := make([]int, 0, len(adj))
+	for n := range adj {
+		roots = append(roots, n)
+	}
+	sort.Ints(roots)
 
-	for root := range adj {
+	for _, root := range roots {
 		if color[root] != white {
 			continue
 		}
@@ -46,7 +55,7 @@ func FindCycle(adj map[int][]int) []int {
 						break
 					}
 				}
-				return append(cycle, m)
+				return rotateToMin(cycle)
 			case white:
 				color[m] = gray
 				stack = append(stack, frame{node: m})
@@ -54,4 +63,19 @@ func FindCycle(adj map[int][]int) []int {
 		}
 	}
 	return nil
+}
+
+// rotateToMin closes the open node sequence cycle, starting it at its
+// smallest node.
+func rotateToMin(cycle []int) []int {
+	lo := 0
+	for i, n := range cycle {
+		if n < cycle[lo] {
+			lo = i
+		}
+	}
+	out := make([]int, 0, len(cycle)+1)
+	out = append(out, cycle[lo:]...)
+	out = append(out, cycle[:lo]...)
+	return append(out, cycle[lo])
 }

@@ -2,6 +2,7 @@ package loopcheck
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,6 +97,18 @@ func TestRandomGraphWithKnownCycle(t *testing.T) {
 		adj[c] = append(adj[c], a)
 		if FindCycle(adj) == nil {
 			t.Fatalf("trial %d: planted cycle not found", trial)
+		}
+	}
+}
+
+func TestFindCycleDeterministic(t *testing.T) {
+	// Two disjoint cycles; the DFS from the smallest root enters the first
+	// one at 7, so the report must also be rotated to start at 6.
+	adj := map[int][]int{1: {7}, 7: {8}, 8: {6}, 6: {7}, 20: {21}, 21: {20}}
+	want := []int{6, 7, 8, 6}
+	for i := 0; i < 100; i++ {
+		if c := FindCycle(adj); !slices.Equal(c, want) {
+			t.Fatalf("call %d: cycle %v, want %v", i, c, want)
 		}
 	}
 }
