@@ -15,9 +15,9 @@
 // (amortized O(1) push/pop, FIFO on (time, seq) ties, differentially
 // fuzzed against a reference heap) over pooled events with
 // generation-checked timers — internal/radio finds audible sets
-// through an incremental spatial grid index (O(neighbors) per
-// transmission, byte-identical to the linear reference scan) with bulk
-// epoch position refreshes, and
+// through per-sender neighbour lists rebuilt once per mobility epoch
+// (each link's range evaluated once per epoch, byte-identical to the
+// linear reference scan), and
 // internal/runner flattens the whole (protocol x pause x trial) grid into
 // one job queue consumed by a work-stealing worker pool, streaming
 // per-trial JSONL/CSV results as they complete. Identical seeds give
@@ -84,8 +84,8 @@
 // in steady state, byte-identical per seed — see internal/routing/olsr),
 // its duplicate cache and neighbor/topology sweeps are expiry-ordered
 // and horizon-gated, the MAC's steady-state path allocates nothing, and
-// the radio channel's spatial grid amortizes position refreshes at
-// N=5000 (BenchmarkChannelTransmitLargeN). The tier has its own
+// the radio channel's per-epoch position refreshes and neighbour lists
+// are benchmarked at N=5000 (BenchmarkChannelTransmitLargeN). The tier has its own
 // reference scenarios (examples/scenarios/manhattan-5000.json and
 // manhattan-20000.json), bench family (BenchmarkLargeN, through
 // N=20000), and a timeboxed 20000-node CI smoke. cmd/slrsim's

@@ -9,51 +9,80 @@ import (
 	"slr/internal/sim"
 )
 
-// grid is an incremental spatial index over stations: a sparse hash of
-// square cells, cell side = the propagation model's maximum range, holding
-// each station under a cached position.
+// grid is a spatial index over stations plus a neighbour list per
+// station: a sparse hash of square cells, cell side = the propagation
+// model's maximum range, holding each station under a cached position, and
+// for each sender the stations it could reach before the cached positions
+// are next refreshed (a Verlet neighbour list, as in molecular dynamics).
 //
-// Exactness without re-indexing every move: a cached position is allowed
-// to drift up to `slack` meters from the station's true position. Querying
-// the cells within MaxRange+slack of a transmitter therefore yields a
-// superset of every station truly within MaxRange, and the caller applies
-// the exact per-link distance test to that superset — so the audible set
-// is identical to the O(N) linear scan, station for station.
+// Cached positions are refreshed in one bulk pass per mobility epoch,
+// triggered by the first transmission at or past the epoch deadline. An
+// epoch lasts slack / MaxSpeed, the time a fastest-possible station needs
+// to travel slack meters, so every cached position stays within slack of
+// its station's true position for the whole epoch (a station registered
+// mid-epoch is cached at registration, which is later still).
 //
-// The drift bound is maintained lazily, with no simulator events: cached
-// positions are refreshed in one bulk pass per mobility epoch (epoch =
-// slack / MaxSpeed, the time a fastest-possible node needs to travel slack
-// meters), triggered by the first query past the epoch deadline. Every
-// cache in an epoch is at most one epoch old, so drift stays under slack;
-// between epoch boundaries a query touches the index not at all. The bulk
-// pass replaces the per-query staleness ring the grid originally carried:
-// same amortized work (each station re-cached once per epoch), none of the
-// per-transmit age bookkeeping on the hot path.
+// A sender's list is built on its first transmission of an epoch and
+// holds (j, LinkRange(sender, j)²) for every station j with
 //
-// Candidates are returned in registration order so reception events are
-// scheduled in exactly the order the linear scan would produce —
-// byte-identical simulation results, enforced by TestGridMatchesLinear.
-// Ordering costs no sort: candidates are marked in a bitset over
-// registration indices and read back in ascending-bit order.
+//	|cached_sender − cached_j| ≤ LinkRange(sender, j) + 2·slack + margin.
+//
+// If the true positions are within link range at any instant of the
+// epoch, the cached ones are within link range plus both stations' drift,
+// 2·slack, so the list is a superset of every station the sender can reach
+// until the next refresh. The caller applies the exact per-link test to
+// true positions against each entry, so the audible set is identical to
+// the O(N) linear scan, station for station; a list spends one LinkRange
+// call per candidate per epoch instead of one per candidate per frame.
+// Refreshing positions and registering a station both invalidate every
+// list by bumping one epoch counter.
+//
+// Lists are in registration order so reception events are scheduled in
+// exactly the order the linear scan would produce — byte-identical
+// simulation results, enforced by TestGridMatchesLinear. Ordering costs no
+// sort: the build marks candidates in a bitset over registration indices
+// and reads them back in ascending-bit order.
 type grid struct {
-	cell    float64  // cell side, = Propagation.MaxRange()
-	inv     float64  // 1 / cell
-	reach   float64  // query radius: MaxRange + slack
-	refresh sim.Time // max cache age (one epoch); 0 = stations never move
-	// nextRefresh is the current epoch's deadline: the first query at or
-	// past it re-caches every station (see maybeRefresh).
+	cell  float64 // cell side, = Propagation.MaxRange()
+	inv   float64 // 1 / cell
+	pad   float64 // how far a list entry's cached distance may exceed its link range
+	reach float64 // list-build search radius: MaxRange + linkRangeTolerance + pad
+	// refresh is the epoch length, the max cache age; 0 = stations never
+	// move.
+	refresh sim.Time
+	// nextRefresh is the current epoch's deadline: the first transmission
+	// at or past it re-caches every station (see maybeRefresh).
 	nextRefresh sim.Time
-	cells       map[int64][]*station
-	marks       []uint64 // candidate bitset over registration indices
-	cands       []int32  // scratch for query results (registration indices)
+	// epoch numbers the current generation of neighbour lists; a list
+	// built under an older number is stale.
+	epoch uint64
+	cells map[int64][]*station
+	marks []uint64 // candidate bitset over registration indices
+	cands []int32  // scratch for query results (registration indices)
+}
+
+// nbr is one neighbour-list entry: a station the list's owner may reach
+// this epoch and the squared range of their link.
+type nbr struct {
+	st  *station
+	lr2 float64
 }
 
 // gridSlackFraction is the allowed cache drift as a fraction of the cell
-// side. Smaller means a tighter candidate search radius but more frequent
-// cache refreshes; at 1/4 a 20 m/s node under a 275 m range refreshes
-// every ~3.4 s of simulated time, a trivial cost next to per-transmit
-// work, while the query disk shrinks from 1.5x to 1.25x the range.
+// side. Smaller means shorter neighbour lists but more frequent refreshes
+// and list builds; at 1/4 a 20 m/s node under a 275 m range refreshes
+// every ~3.4 s of simulated time.
 const gridSlackFraction = 0.25
+
+const (
+	// linkRangeTolerance is how far the Propagation contract lets
+	// LinkRange exceed MaxRange (rounding in the model's own math).
+	linkRangeTolerance = 1e-9
+	// listMargin absorbs float64 rounding in the cached and exact
+	// distance computations: a micrometre, far above the rounding error
+	// at any terrain size the simulator runs.
+	listMargin = 1e-6
+)
 
 // newGrid sizes a grid for the given propagation reach and speed bound.
 // maxSpeed 0 means stations are known never to move: no slack, no
@@ -62,14 +91,15 @@ func newGrid(maxRange, maxSpeed float64) *grid {
 	g := &grid{
 		cell:  maxRange,
 		inv:   1 / maxRange,
-		reach: maxRange,
+		pad:   listMargin,
 		cells: make(map[int64][]*station),
 	}
 	if maxSpeed > 0 {
 		slack := maxRange * gridSlackFraction
-		g.reach = maxRange + slack
+		g.pad += 2 * slack
 		g.refresh = sim.Time(slack / maxSpeed * float64(time.Second))
 	}
+	g.reach = maxRange + linkRangeTolerance + g.pad
 	return g
 }
 
@@ -82,8 +112,10 @@ func (g *grid) cellKey(p geo.Point) int64 {
 
 // insert adds a newly registered station at its current position. The
 // fresh cache is younger than the current epoch's bulk pass, so the drift
-// bound holds for it until the next epoch like for everyone else.
+// bound holds for it until the next epoch like for everyone else; the
+// existing lists lack it, so they are invalidated.
 func (g *grid) insert(st *station, pos geo.Point, nStations int) {
+	g.epoch++
 	st.cachedPos = pos
 	st.cellKey = g.cellKey(pos)
 	bucket := g.cells[st.cellKey]
@@ -116,32 +148,50 @@ func (g *grid) move(st *station, pos geo.Point) {
 }
 
 // maybeRefresh starts a new mobility epoch when the current one has
-// expired: one bulk pass re-caching every station. Queries between epoch
-// boundaries see caches at most one epoch (refresh) old, which bounds
-// drift to slack meters and keeps the reach-disk superset sound.
+// expired: one bulk pass re-caching every station. Transmissions between
+// epoch boundaries see caches at most one epoch (refresh) old, which
+// bounds drift to slack meters and keeps every neighbour list a superset.
 func (g *grid) maybeRefresh(stations []*station, now sim.Time) {
 	if g.refresh == 0 || now < g.nextRefresh {
 		return
 	}
-	g.refreshAll(stations, now)
-}
-
-// refreshAll re-caches every station's position and opens a fresh epoch
-// ending one refresh interval from now.
-func (g *grid) refreshAll(stations []*station, now sim.Time) {
 	for _, st := range stations {
 		g.move(st, st.mob.Position(now))
 	}
 	g.nextRefresh = now + g.refresh
+	g.epoch++
 }
 
-// query returns the registration indices of every station whose true
-// position could be within MaxRange of pos, sorted ascending — i.e. in
+// neighbours returns s's neighbour list for the current epoch, building it
+// on first use: every station whose cached distance from s is within the
+// link's range plus pad (see grid). The slice is owned by s and valid
+// until the epoch ends.
+func (g *grid) neighbours(s *station, stations []*station, prop Propagation) []nbr {
+	if s.nbrEpoch == g.epoch {
+		return s.nbrs
+	}
+	s.nbrEpoch = g.epoch
+	s.nbrs = s.nbrs[:0]
+	for _, idx := range g.query(s.cachedPos) {
+		st := stations[idx]
+		if st == s {
+			continue
+		}
+		lr := prop.LinkRange(s.id, st.id)
+		if r := lr + g.pad; s.cachedPos.Dist2(st.cachedPos) > r*r {
+			continue
+		}
+		s.nbrs = append(s.nbrs, nbr{st: st, lr2: lr * lr})
+	}
+	return s.nbrs
+}
+
+// query returns the registration indices of every station in a cell that
+// overlaps the disk of radius reach around pos, sorted ascending — i.e. in
 // registration order, the order the linear scan visits stations. Cells
-// overlapping the bounding box of the search disk but not the disk itself
-// are skipped outright (the corner cells, ~1/4 of the box). The caller
-// must apply the exact distance test; the slice is scratch, valid until
-// the next query.
+// overlapping the bounding box of the disk but not the disk itself are
+// skipped outright (the corner cells, ~1/4 of the box). The slice is
+// scratch, valid until the next query.
 func (g *grid) query(pos geo.Point) []int32 {
 	g.cands = g.cands[:0]
 	cx0 := int32(math.Floor((pos.X - g.reach) * g.inv))

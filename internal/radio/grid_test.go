@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,5 +231,81 @@ func TestGridStaticStations(t *testing.T) {
 	}
 	if len(recs[2].log) != 0 {
 		t.Fatalf("out-of-range station decoded %d frames, want 0", len(recs[2].log))
+	}
+}
+
+// lineMover moves along the x axis at a constant velocity.
+type lineMover struct {
+	x0, vx float64 // start position (m) and velocity (m/s)
+}
+
+func (m lineMover) Position(at sim.Time) geo.Point {
+	return geo.Point{X: m.x0 + m.vx*at.Seconds()}
+}
+
+// TestNeighbourListEpochBounds pins the two bounds a neighbour list must
+// respect for the whole epoch it was built in. In each case station 0
+// sends a frame that builds its list, then sends another before the epoch
+// ends, which station 1 must decode under both index kinds.
+func TestNeighbourListEpochBounds(t *testing.T) {
+	const rng, speed = 100.0, 10.0
+	slack := rng * gridSlackFraction
+	for _, tc := range []struct {
+		name string
+		// setup registers the stations and schedules the transmissions
+		// on a channel whose first frame goes out at t=0.
+		setup func(s *sim.Simulator, ch *Channel, recv Receiver, send func(seq uint32))
+	}{
+		{
+			// Two stations approaching at MaxSpeed each start the epoch
+			// just inside range + 2·slack and end it inside range: the
+			// list must budget for both ends' drift.
+			name: "margin",
+			setup: func(s *sim.Simulator, ch *Channel, recv Receiver, send func(seq uint32)) {
+				const delta = 1e-3
+				ch.Register(0, lineMover{x0: 0, vx: speed}, nil)
+				ch.Register(1, lineMover{x0: rng + 2*slack - delta, vx: -speed}, recv)
+				s.At(0, func() {
+					send(1)
+					end := sim.Time(slack / speed * float64(time.Second))
+					if ch.grid != nil {
+						end = ch.grid.nextRefresh
+					}
+					s.At(end-1, func() { send(2) })
+				})
+			},
+		},
+		{
+			// A station registered beside a sender mid-epoch, after the
+			// sender built its list, must hear the sender's next frame
+			// (the epoch lasts slack / speed = 2.5 s).
+			name: "late-registration",
+			setup: func(s *sim.Simulator, ch *Channel, recv Receiver, send func(seq uint32)) {
+				ch.Register(0, &mobility.Static{}, nil)
+				s.At(0, func() { send(1) })
+				s.At(time.Second, func() {
+					ch.Register(1, &mobility.Static{At: geo.Point{X: 10}}, recv)
+				})
+				s.At(2*time.Second, func() { send(2) })
+			},
+		},
+	} {
+		for _, kind := range []IndexKind{IndexLinear, IndexGrid} {
+			s := sim.New(1)
+			p := DefaultParams()
+			p.Range = rng
+			p.MaxSpeed = speed
+			p.Index = kind
+			ch := NewChannel(s, p)
+			recv := &logRecorder{s: s}
+			tc.setup(s, ch, recv, func(seq uint32) {
+				ch.Transmit(&Frame{From: 0, To: Broadcast, Kind: Data, Size: 64, Seq: seq})
+			})
+			s.Run()
+			if n := len(recv.log); n != 1 || !strings.HasSuffix(recv.log[0], " 0 2") {
+				t.Errorf("%s, index %d: station 1 decoded %v, want only frame 2 from station 0",
+					tc.name, kind, recv.log)
+			}
+		}
 	}
 }

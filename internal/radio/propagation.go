@@ -15,12 +15,14 @@ import (
 //
 // Implementations must be pure: LinkRange(a, b) is symmetric, independent
 // of call order, and fixed for the whole run, so the linear scan and the
-// spatial grid index see identical audibility no matter which stations
-// they test or in what order. Per-link randomness therefore comes from
+// neighbour lists (which evaluate each link's range once per mobility
+// epoch) see identical audibility no matter which stations they test or
+// in what order. Per-link randomness therefore comes from
 // hashing (seed, link), never from a shared rng stream.
 type Propagation interface {
-	// MaxRange bounds LinkRange over all links. The spatial grid sizes
-	// its cells and its candidate search radius from this.
+	// MaxRange bounds LinkRange over all links, up to a 1e-9 m rounding
+	// tolerance. The spatial grid sizes its cells and its list-build
+	// search radius from this.
 	MaxRange() float64
 	// LinkRange returns the audible distance in meters for the link
 	// between a and b.
@@ -114,7 +116,7 @@ func linkNormal(seed int64, a, b NodeID) float64 {
 // Range * 10^(X / (10*n)) with n the pathloss exponent. Obstructed links
 // fall short of the nominal range, lucky ones reach past it — the
 // classic reason unit-disk topologies are too optimistic. X is clamped to
-// +/-3 sigma so MaxRange (and the spatial grid's search radius) stays
+// +/-3 sigma so MaxRange (and the grid's list-build search radius) stays
 // finite.
 //
 // PropSpec.Params knobs: "sigma_db" (default 4), "pathloss_exp"

@@ -9,10 +9,13 @@
 // transmission overlaps it in time at that receiver (including the
 // hidden-terminal case) or the receiver itself is transmitting.
 //
-// Audible-set lookup is O(neighbors) through an incremental spatial grid
-// index (see grid) when Params supplies a speed bound; the O(N) linear
-// scan remains as the reference path and the two are byte-identical for
-// the same seed.
+// When Params supplies a speed bound, a transmission's audible set comes
+// from the sender's neighbour list (see grid): built from a spatial grid
+// once per mobility epoch, it holds every station the sender can reach
+// before positions are next refreshed, with each link's range already
+// evaluated, so a frame costs one exact distance test per list entry. The
+// O(N) linear scan remains as the reference path, and the two are
+// byte-identical for the same seed.
 package radio
 
 import (
@@ -149,11 +152,14 @@ type station struct {
 	busyTill sim.Time // latest end of anything audible here
 	navUntil sim.Time // virtual carrier sense (802.11 NAV)
 
-	// Spatial grid bookkeeping (see grid): the cached position and where
-	// the station sits in the cell hash.
+	// Spatial grid bookkeeping (see grid): the cached position, where
+	// the station sits in the cell hash, and its neighbour list with the
+	// grid epoch it was built in.
 	cachedPos geo.Point
 	cellKey   int64
 	slot      int
+	nbrs      []nbr
+	nbrEpoch  uint64
 }
 
 // Channel is the shared medium of one trial. It is not safe for
@@ -168,8 +174,7 @@ type Channel struct {
 	// Transmit) resolve stations without hashing. Sparse or exotic IDs
 	// fall back to the map.
 	byID   []*station
-	order  []NodeID   // registration order, for deterministic iteration
-	byIdx  []*station // stations in registration order
+	byIdx  []*station // stations in registration order, for deterministic iteration
 	grid   *grid      // nil = linear scan
 	hits   []hit      // scratch for audible-set results
 	freeRx []*rx      // reception freelist (see rx)
@@ -206,9 +211,8 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 	if _, dup := c.stations[id]; dup {
 		panic(fmt.Sprintf("radio: station %d registered twice", id))
 	}
-	st := &station{id: id, idx: len(c.order), mob: m, recv: r}
+	st := &station{id: id, idx: len(c.byIdx), mob: m, recv: r}
 	c.stations[id] = st
-	c.order = append(c.order, id)
 	c.byIdx = append(c.byIdx, st)
 	if id >= 0 {
 		for int(id) >= len(c.byID) {
@@ -218,20 +222,6 @@ func (c *Channel) Register(id NodeID, m mobility.Model, r Receiver) {
 	}
 	if c.grid != nil {
 		c.grid.insert(st, m.Position(c.sim.Now()), len(c.byIdx))
-	}
-}
-
-// RefreshPositions eagerly re-caches every station position in the spatial
-// index and opens a new refresh epoch. The channel already does this
-// lazily on the first transmission of each epoch; scenarios that advance
-// mobility in discrete steps can call it at each step boundary to pay the
-// bulk pass at a deterministic point instead. Results are unaffected
-// either way (the index only ever narrows the candidate set; audibility is
-// always decided on exact positions). No-op without a grid or with
-// immobile stations.
-func (c *Channel) RefreshPositions() {
-	if c.grid != nil && c.grid.refresh != 0 {
-		c.grid.refreshAll(c.byIdx, c.sim.Now())
 	}
 }
 
@@ -318,33 +308,28 @@ type hit struct {
 
 // audible returns the stations that can hear a transmission from sender at
 // pos right now, in registration order, with exact squared distances. The
-// grid path and the linear path apply the identical per-link test to exact
-// positions, so they return the identical slice — the grid only narrows
-// how many stations are tested. The slice is scratch, valid until the next
-// call.
+// neighbour-list path and the linear path apply the identical per-link
+// test to exact positions, so they return the identical slice — the list
+// only narrows how many stations are tested. The slice is scratch, valid
+// until the next call.
 func (c *Channel) audible(sender *station, pos geo.Point) []hit {
 	now := c.sim.Now()
 	c.hits = c.hits[:0]
 	if c.grid != nil {
 		c.grid.maybeRefresh(c.byIdx, now)
-		for _, idx := range c.grid.query(pos) {
-			st := c.byIdx[idx]
-			if st == sender {
+		for _, n := range c.grid.neighbours(sender, c.byIdx, c.prop) {
+			d2 := pos.Dist2(n.st.mob.Position(now))
+			if d2 > n.lr2 {
 				continue
 			}
-			d2 := pos.Dist2(st.mob.Position(now))
-			if lr := c.prop.LinkRange(sender.id, st.id); d2 > lr*lr {
-				continue
-			}
-			c.hits = append(c.hits, hit{st: st, d2: d2})
+			c.hits = append(c.hits, hit{st: n.st, d2: d2})
 		}
 		return c.hits
 	}
-	for _, oid := range c.order {
-		if oid == sender.id {
+	for _, st := range c.byIdx {
+		if st == sender {
 			continue
 		}
-		st := c.stations[oid]
 		d2 := pos.Dist2(st.mob.Position(now))
 		if lr := c.prop.LinkRange(sender.id, st.id); d2 > lr*lr {
 			continue
