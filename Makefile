@@ -19,17 +19,15 @@ race:
 	$(GO) test -race ./...
 
 # Bench smoke: one iteration of every bench, so regressions in the bench
-# harness itself surface quickly, plus a machine-readable record of the
-# run appended to the BENCH_<n>.json perf trajectory (see cmd/benchjson).
-# Full runs: `go test -bench=. -benchmem .`
-# -timeout 40m: the root package's large-N tiers (BenchmarkLargeN)
-# legitimately run ~15 min even at one iteration each; go test's default
-# 10 min per-package limit would kill the run mid-bench.
+# harness itself surface quickly. A single cold iteration is not a
+# measurement; perf claims come from the repo benchmark (slrbench/,
+# declared in BENCHMARK.json). BenchmarkLargeN is skipped: its last
+# recorded one-iteration pass took about 290 s, 204 s of it OLSR at
+# N=20000, and CI's large-n-smoke job already covers that scale. Run it
+# by hand with
+#   go test -run=NONE -bench=BenchmarkLargeN -benchtime=1x -benchmem .
 bench:
-	@$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem -timeout 40m ./... > bench.out 2>&1; \
-	st=$$?; cat bench.out; \
-	if [ $$st -ne 0 ]; then echo "bench failed; output kept in bench.out" >&2; exit $$st; fi; \
-	$(GO) run ./cmd/benchjson -in bench.out && rm -f bench.out
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem -skip BenchmarkLargeN ./...
 
 # The analyzer fixtures under internal/analysis/testdata are deliberately
 # pathological source and sit outside the repo's gofmt gate (the go tool
@@ -50,8 +48,8 @@ lint:
 	$(GO) build -o bin/slrlint ./cmd/slrlint
 	$(GO) vet -vettool=$(CURDIR)/bin/slrlint ./...
 
-# Regenerate the paper's Table I and Figures 3-7 on the work-stealing
-# runner. SCALE=full for the paper's exact setup (hours of CPU). -force:
+# Regenerate the paper's Table I and Figures 3-7 on the trial runner
+# (internal/runner). SCALE=full for the paper's exact setup (hours of CPU). -force:
 # re-running the target deliberately regenerates the results files (the
 # binary otherwise refuses to clobber a non-empty sweep output).
 sweep:

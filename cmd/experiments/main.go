@@ -214,8 +214,8 @@ func run(args []string) error {
 	return nil
 }
 
-// runSpec runs the trials of one resolved scenario spec on the
-// work-stealing runner and prints the trial summary. A shard runs only its
+// runSpec runs the trials of one resolved scenario spec on the trial
+// runner and prints the trial summary. A shard runs only its
 // slice of the trial list; salvaged records from a resumed JSONL skip
 // their jobs and fold back into the printed summary.
 func runSpec(s *spec.ScenarioSpec, p scenario.Params, trials int, seed int64, seedSet bool, workers int, quiet bool, cli *sweepcli.Flags, out *sweepcli.Outputs) error {

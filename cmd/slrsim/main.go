@@ -22,6 +22,11 @@
 // CPUs, and POSTs the records back until the sweep is done. Jobs arrive
 // fully parameterized, so no scenario flag combines with -worker.
 //
+// -check runs the loop-freedom invariant checks and prints each trial's
+// violations. A violation by a protocol that claims loop-freedom (SRP,
+// LDR, AODV; see routing.LoopFree) makes slrsim exit non-zero after
+// printing; OLSR's and DSR's successor cycles are reported only.
+//
 // Example:
 //
 //	slrsim -protocol SRP -nodes 100 -pause 0 -flows 30 -duration 900s -seed 1
@@ -334,7 +339,24 @@ func run(args []string) (retErr error) {
 	if emitErr != nil {
 		return fmt.Errorf("per-trial streaming failed (metrics above are complete): %w", emitErr)
 	}
-	return nil
+	return loopFreedomErr(p.Protocol, ts.Results)
+}
+
+// loopFreedomErr fails a run of a protocol that claims loop-freedom
+// (routing.LoopFree) when any of its trials recorded a successor cycle.
+// Other protocols' cycles are measurements: printed, never an error.
+func loopFreedomErr(proto scenario.ProtocolName, results []scenario.Result) error {
+	if !routing.LoopFree(string(proto)) {
+		return nil
+	}
+	violations := 0
+	for _, r := range results {
+		violations += len(r.LoopErrors)
+	}
+	if violations == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s claims loop-freedom, but -check recorded %d violation(s)", proto, violations)
 }
 
 // startProfiles starts CPU profiling to cpu (when non-empty) and returns a

@@ -26,6 +26,54 @@ func TestRunSmallScenario(t *testing.T) {
 	}
 }
 
+// TestLoopFreedomGate pins which -check violations fail a run: those of
+// the protocols that claim loop-freedom, never OLSR's or DSR's.
+func TestLoopFreedomGate(t *testing.T) {
+	looped := []scenario.Result{{}, {LoopErrors: []string{"t=5s: destination 0: successor cycle [4 6 4]"}}}
+	for _, tc := range []struct {
+		proto   scenario.ProtocolName
+		results []scenario.Result
+		fail    bool
+	}{
+		{scenario.SRP, looped, true},
+		{scenario.LDR, looped, true},
+		{scenario.AODV, looped, true},
+		{scenario.OLSR, looped, false},
+		{scenario.DSR, looped, false},
+		{scenario.SRP, []scenario.Result{{}, {}}, false},
+	} {
+		err := loopFreedomErr(tc.proto, tc.results)
+		if (err != nil) != tc.fail {
+			t.Errorf("%s with %d trials: err = %v, want failure %v", tc.proto, len(tc.results), err, tc.fail)
+		}
+	}
+}
+
+// TestRunCheckReportsOLSRLoops drives -check end to end on a run where
+// OLSR has a transient successor cycle: it is printed, and the run still
+// succeeds because OLSR does not claim loop-freedom.
+func TestRunCheckReportsOLSRLoops(t *testing.T) {
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	saved := os.Stdout
+	os.Stdout = stdout
+	err = run([]string{"-spec", "../../examples/scenarios/tiny-smoke.json", "-protocol", "OLSR", "-check", "-trials", "1"})
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("OLSR -check run failed: %v", err)
+	}
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "VIOLATION") {
+		t.Fatalf("no violation printed; the scenario no longer exercises the gate:\n%s", out)
+	}
+}
+
 func TestRunRejectsUnknownProtocol(t *testing.T) {
 	err := run([]string{"-protocol", "RIP"})
 	if err == nil || !strings.Contains(err.Error(), "unknown protocol") {

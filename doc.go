@@ -19,7 +19,7 @@
 // (each link's range evaluated once per epoch, byte-identical to the
 // linear reference scan), and
 // internal/runner flattens the whole (protocol x pause x trial) grid into
-// one job queue consumed by a work-stealing worker pool, streaming
+// one job list whose workers claim jobs from a shared counter, streaming
 // per-trial JSONL/CSV results as they complete. Identical seeds give
 // identical results whatever the worker count — which is what lets a
 // sweep span processes and crashes: -shard i/n runs a disjoint

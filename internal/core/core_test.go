@@ -198,6 +198,27 @@ func TestGraphDetectsCycle(t *testing.T) {
 	}
 }
 
+// everyLessSet orders every pair of labels, so Verify's label check
+// passes on any edge set and only its cycle search can reject a loop.
+type everyLessSet struct{ FracSet }
+
+func (everyLessSet) Less(frac.F, frac.F) bool { return true }
+
+// TestGraphVerifyNamesCycle checks that Verify reports a loop along the
+// successor edges, in edge direction.
+func TestGraphVerifyNamesCycle(t *testing.T) {
+	g := NewGraph[frac.F](everyLessSet{})
+	for _, e := range [][2]int{{1, 2}, {2, 3}, {3, 1}} {
+		if err := g.AddSuccessor(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "routing loop: cycle [1 2 3 1]"
+	if err := g.Verify(); err == nil || err.Error() != want {
+		t.Fatalf("Verify = %v, want %q", err, want)
+	}
+}
+
 func TestGraphVerifyCountsAndAccessors(t *testing.T) {
 	g := NewGraph[frac.F](fs)
 	mustSet(t, g, 1, frac.MustNew(1, 2))

@@ -156,9 +156,10 @@ func Sweep(s Scale, protos []scenario.ProtocolName, seed int64, w io.Writer) *Gr
 	return g
 }
 
-// SweepOpts runs the whole grid on the work-stealing runner: every
-// (protocol, pause, trial) cell becomes one job in a single flat queue, so
-// slow cells never serialize the sweep the way per-point parallelism did.
+// SweepOpts runs the whole grid on internal/runner: every (protocol,
+// pause, trial) cell becomes one job in a single flat list that the
+// workers claim in order, so slow cells never serialize the sweep the way
+// per-point parallelism did.
 // Results are identical to running every point through the serial
 // scenario.RunTrials. The error is the first emitter failure, if any; the
 // grid is complete either way.

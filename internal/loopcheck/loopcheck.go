@@ -1,9 +1,32 @@
 // Package loopcheck detects directed cycles in successor graphs. It backs
-// the loop-freedom-at-every-instant assertions (Theorem 3) in both the test
-// harness and the scenario runner's invariant checking.
+// the loop-freedom-at-every-instant assertions (Theorem 3) in the test
+// harness, the scenario runner's invariant checking, and core.Graph.
 package loopcheck
 
 import "sort"
+
+// Lister is a node's view of its successors toward each destination; N is
+// the node-ID type.
+type Lister[N ~int] interface {
+	SuccessorsOf(dst N) []N
+}
+
+// Adjacency returns dst's successor graph over nodes: an edge from i to
+// every successor that nodes[i] lists toward dst. Nodes that are not a
+// Lister[N] contribute no edges.
+func Adjacency[N ~int, P any](nodes []P, dst N) map[int][]int {
+	adj := make(map[int][]int)
+	for i, n := range nodes {
+		l, ok := any(n).(Lister[N])
+		if !ok {
+			continue
+		}
+		for _, s := range l.SuccessorsOf(dst) {
+			adj[i] = append(adj[i], int(s))
+		}
+	}
+	return adj
+}
 
 // FindCycle returns a directed cycle in adj as a node sequence whose first
 // and last elements coincide, or nil if the graph is acyclic. The search is

@@ -134,7 +134,7 @@ func TestConformance(t *testing.T) {
 }
 
 // TestByteIdenticalReplayAcrossWorkers runs a small multi-trial scenario
-// for every registered protocol on the work-stealing runner at two worker
+// for every registered protocol on the trial runner at two worker
 // counts and requires the serialized per-trial records to be
 // byte-identical — the regression gate that protocol-parameter sweeps
 // (like every other sweep) do not depend on scheduling.

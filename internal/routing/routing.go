@@ -50,6 +50,18 @@ var factories = registry.New[Factory]("routing protocol")
 // name panics: it is a wiring bug.
 func Register(name string, f Factory) { factories.Register(name, f) }
 
+// loopFree names the protocols whose design claims loop-freedom at every
+// instant: SRP (the paper's Theorem 3), LDR and AODV. OLSR's link-state
+// tables loop transiently while topology control propagates, and DSR's
+// successor view (the first hop of each cached source route) is not what
+// its packets follow hop by hop.
+var loopFree = map[string]bool{"SRP": true, "LDR": true, "AODV": true}
+
+// LoopFree reports whether the named protocol claims loop-freedom at every
+// instant, so that a successor cycle in its run is a defect rather than a
+// measurement.
+func LoopFree(name string) bool { return loopFree[strings.ToUpper(name)] }
+
 // Protocols returns the registered protocol names, sorted.
 func Protocols() []string { return factories.Names() }
 

@@ -100,28 +100,16 @@ func (w *World) Send(src, dst int) {
 	})
 }
 
-// SuccessorLister is implemented by protocols that expose their successor
-// sets for invariant checking.
-type SuccessorLister interface {
-	SuccessorsOf(dst netstack.NodeID) []netstack.NodeID
-}
-
 // CheckLoopFree verifies that, for every destination, the union of all
 // nodes' successor sets forms an acyclic graph — the paper's loop-freedom
 // at every instant. It returns an error naming the destination on failure.
 func (w *World) CheckLoopFree() error {
+	protos := make([]netstack.Protocol, len(w.Nodes))
+	for i, n := range w.Nodes {
+		protos[i] = n.Protocol()
+	}
 	for dst := range w.Nodes {
-		adj := make(map[int][]int)
-		for i, n := range w.Nodes {
-			sl, ok := n.Protocol().(SuccessorLister)
-			if !ok {
-				continue
-			}
-			for _, s := range sl.SuccessorsOf(netstack.NodeID(dst)) {
-				adj[i] = append(adj[i], int(s))
-			}
-		}
-		if cyc := loopcheck.FindCycle(adj); cyc != nil {
+		if cyc := loopcheck.FindCycle(loopcheck.Adjacency(protos, netstack.NodeID(dst))); cyc != nil {
 			return fmt.Errorf("destination %d: routing loop %v at t=%v", dst, cyc, w.Sim.Now())
 		}
 	}

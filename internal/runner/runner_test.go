@@ -5,9 +5,9 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,7 +65,7 @@ func TestGridJobsLayout(t *testing.T) {
 }
 
 // TestRunnerMatchesSerial is the determinism regression test of the
-// work-stealing scheduler: for the same seeds, results must be identical
+// runner: for the same seeds, results must be identical
 // to the serial scenario.RunTrials path, whatever the worker count. OLSR
 // is included because it is the protocol most sensitive to incidental
 // ordering (MPR tie-breaks), so it would surface any nondeterminism the
@@ -120,21 +120,34 @@ func TestRunEmptyJobList(t *testing.T) {
 	}
 }
 
+// TestSinksObserveEveryTrial checks that every job reaches every sink
+// exactly once, with one worker, with fewer workers than jobs, and with
+// more workers than jobs.
 func TestSinksObserveEveryTrial(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testSinksObserveEveryTrial(t, workers)
+		})
+	}
+}
+
+func testSinksObserveEveryTrial(t *testing.T, workers int) {
 	var jsonl, csvBuf, progress bytes.Buffer
-	seen := 0
 	jobs := TrialJobs(tinyParams(scenario.SRP, 50), 3)
+	seen := make([]int, len(jobs))
 	_, err := Run(jobs, Options{
-		Workers:  2,
+		Workers:  workers,
 		Progress: &progress,
 		Emitters: []Emitter{NewJSONL(&jsonl), NewCSV(&csvBuf)},
-		OnResult: func(Job, scenario.Result) { seen++ },
+		OnResult: func(j Job, _ scenario.Result) { seen[j.Index]++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != len(jobs) {
-		t.Fatalf("OnResult saw %d trials, want %d", seen, len(jobs))
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("OnResult saw job %d %d times, want once: %v", i, c, seen)
+		}
 	}
 	if got := strings.Count(progress.String(), "\n"); got != len(jobs) {
 		t.Fatalf("progress lines = %d, want %d:\n%s", got, len(jobs), progress.String())
@@ -223,58 +236,5 @@ func TestEmitterDisabledAfterFirstError(t *testing.T) {
 		if r.DataSent == 0 {
 			t.Fatalf("results[%d] looks unrun despite emitter failure: %+v", i, r)
 		}
-	}
-}
-
-// TestStealing drives the span/steal machinery directly through a skewed
-// partition and checks every job is claimed exactly once.
-func TestStealing(t *testing.T) {
-	const n = 1000
-	spans := make([]span, 4)
-	// All jobs start on worker 0; the rest must steal everything.
-	spans[0] = span{lo: 0, hi: n}
-	var unclaimed atomic.Int64
-	unclaimed.Store(n)
-	var claimed [n]atomic.Int64
-	workers := make(chan struct{}, len(spans))
-	for w := range spans {
-		go func(self int) {
-			defer func() { workers <- struct{}{} }()
-			for {
-				i, ok := spans[self].pop()
-				if !ok {
-					if i, ok = steal(spans, self, &unclaimed); !ok {
-						return
-					}
-				}
-				unclaimed.Add(-1)
-				claimed[i].Add(1)
-			}
-		}(w)
-	}
-	for range spans {
-		<-workers
-	}
-	for i := range claimed {
-		if c := claimed[i].Load(); c != 1 {
-			t.Fatalf("job %d claimed %d times", i, c)
-		}
-	}
-}
-
-func TestStealHalf(t *testing.T) {
-	s := span{lo: 10, hi: 20}
-	lo, hi, ok := s.stealHalf()
-	if !ok || lo != 15 || hi != 20 || s.hi != 15 {
-		t.Fatalf("stealHalf = (%d,%d,%v), span now [%d,%d)", lo, hi, ok, s.lo, s.hi)
-	}
-	// A single remaining job is stealable too.
-	s = span{lo: 5, hi: 6}
-	lo, hi, ok = s.stealHalf()
-	if !ok || lo != 5 || hi != 6 || s.lo != s.hi {
-		t.Fatalf("stealHalf single = (%d,%d,%v), span now [%d,%d)", lo, hi, ok, s.lo, s.hi)
-	}
-	if _, _, ok = s.stealHalf(); ok {
-		t.Fatal("stole from empty span")
 	}
 }

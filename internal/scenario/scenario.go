@@ -158,11 +158,6 @@ type controlReporter interface {
 	ControlBreakdown() (rreq, rrep, rerr uint64)
 }
 
-// successorLister is implemented by protocols exposing successor sets.
-type successorLister interface {
-	SuccessorsOf(dst netstack.NodeID) []netstack.NodeID
-}
-
 // SimHook, when non-nil, is called with each trial's Simulator right
 // after creation, before any event is scheduled. It exists for the
 // scheduler-gate tests in the repo root, which use it to enable the
@@ -310,17 +305,7 @@ func buildProtocol(p Params) netstack.Protocol {
 // successor sets.
 func checkLoops(protos []netstack.Protocol) error {
 	for dst := range protos {
-		adj := make(map[int][]int)
-		for i, pr := range protos {
-			sl, ok := pr.(successorLister)
-			if !ok {
-				return nil // protocol does not expose successors
-			}
-			for _, s := range sl.SuccessorsOf(netstack.NodeID(dst)) {
-				adj[i] = append(adj[i], int(s))
-			}
-		}
-		if cyc := loopcheck.FindCycle(adj); cyc != nil {
+		if cyc := loopcheck.FindCycle(loopcheck.Adjacency(protos, netstack.NodeID(dst))); cyc != nil {
 			return fmt.Errorf("destination %d: successor cycle %v", dst, cyc)
 		}
 	}
@@ -348,7 +333,7 @@ func (ts *TrialSet) Series(metric func(Result) float64) *metrics.Series {
 // same topology and traffic for every protocol, matching the paper's fixed
 // per-trial mobility and traffic scripts.
 //
-// RunTrials is the serial reference path: the work-stealing scheduler in
+// RunTrials is the serial reference path: the parallel runner in
 // internal/runner must produce byte-identical results for the same seeds,
 // and its regression tests compare against this loop. Use
 // runner.Run(runner.TrialJobs(p, trials), opts) to saturate all cores.

@@ -13,9 +13,9 @@ import (
 )
 
 // Worker is the pulling client side of sweep-as-a-service: it leases job
-// batches from a coordinator, runs each batch's trials on the
-// work-stealing runner (all local CPUs), and POSTs the resulting records
-// back with retry and exponential backoff. Losing a worker loses nothing:
+// batches from a coordinator, runs each batch's trials on the trial
+// runner (all local CPUs), and POSTs the resulting records back with
+// retry and exponential backoff. Losing a worker loses nothing:
 // whatever it leased but never acknowledged returns to the pool when the
 // lease expires, and whatever it acknowledged twice (a retried POST, a
 // re-leased trial) the coordinator dedups.
