@@ -27,20 +27,36 @@
 //     re-running the computation would read exactly the same inputs and
 //     produce exactly the same output, so it is skipped.
 //
-// Rebuilds that do run reuse preallocated storage (the route and hop maps
-// are cleared in place, the BFS queue is popped by head index over a
-// reused slice, and the symmetric-neighbor ring is maintained as a sorted
-// slice incrementally), so the steady-state data plane allocates nothing —
-// pinned by TestRecomputeAllocFree. Outputs are byte-identical per seed to
-// the full-rebuild-per-dirty-flag implementation (TestOLSRGoldenJSONL at
-// the repo root pins the JSONL stream), because every skip is justified by
-// the purity argument above and every rebuild visits neighbors in the same
-// sorted order.
+// The MPR cover is also deferred until its result is needed. A HELLO
+// receipt, a link-layer data failure, and an expiry sweep that left the
+// tables dirty each only mark a cover due and record the instant. The
+// cover runs at that recorded instant (liveness is judged against it, not
+// against the current clock) in two places: when the set is read, to
+// build a HELLO, and just before an input changes without such a trigger,
+// which is a control-frame failure removing a neighbor. Between a trigger
+// and the next run no input changes, so the deferred cover reads exactly
+// what a cover run at the trigger would have read, and every advertised
+// MPR set is the one an eager cover after every trigger would produce
+// (TestDeferredCoverMatchesEager). At pause 0 almost every HELLO receipt
+// changes some neighbor's two-hop set, so the version cache alone would
+// still run the cover once per HELLO received; deferred, it runs about
+// once per HELLO sent.
+//
+// Rebuilds that do run reuse preallocated storage (the route map is
+// cleared in place, the BFS visited set is a reused bitset, the BFS queue
+// is popped by head index over a reused slice, and the symmetric-neighbor
+// ring is maintained as a sorted slice incrementally), so the steady-state
+// data plane allocates nothing — pinned by TestRecomputeAllocFree.
+// Outputs are byte-identical per seed to the full-rebuild-per-dirty-flag
+// implementation (TestOLSRGoldenJSONL at the repo root pins the JSONL
+// stream), because every skip is justified by the purity argument above
+// and every rebuild visits neighbors in the same sorted order.
 package olsr
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -104,8 +120,8 @@ func (c Config) validate() error {
 // sensing (bidirectionality), two-hop discovery, and MPR signaling.
 type hello struct {
 	From      netstack.NodeID
-	Neighbors []netstack.NodeID // symmetric neighbors of From
-	MPRs      []netstack.NodeID // neighbors From selected as MPR
+	Neighbors []netstack.NodeID // neighbors of From, sorted by id
+	MPRs      []netstack.NodeID // neighbors From selected as MPR, sorted by id
 }
 
 // tc floods the sender's MPR-selector set through the MPR backbone.
@@ -173,8 +189,10 @@ type Protocol struct {
 	sweeper     rcommon.Beaconer
 
 	routes map[netstack.NodeID]netstack.NodeID // dst -> next hop
-	hops   map[netstack.NodeID]int
-	queue  []netstack.NodeID // BFS scratch, reused across rebuilds
+	// seen is the route BFS's visited set and queue its FIFO, both reused
+	// across rebuilds.
+	seen  bitset
+	queue []netstack.NodeID
 	// liveSym is selectMPRs' scratch of live symmetric neighbors;
 	// symBits/uncov its reusable membership bitsets over node ids.
 	liveSym []symNeighbor
@@ -205,6 +223,11 @@ type Protocol struct {
 	routeHorizon sim.Time
 	mprVer       uint64
 	mprHorizon   sim.Time
+	// mprDue marks that a trigger has asked for an MPR cover that has not
+	// run yet, and mprDueAt is the instant of the latest such trigger; see
+	// the package comment.
+	mprDue   bool
+	mprDueAt sim.Time
 	// rebuilds/mprRuns count the computations that actually ran, for
 	// tests and profiling; skips are the difference against dirty events.
 	rebuilds uint64
@@ -225,7 +248,6 @@ func New(cfg Config) *Protocol {
 		topo:   make(map[netstack.NodeID]*topoEntry),
 		seenTC: rcommon.NewDupCache(30 * time.Second),
 		routes: make(map[netstack.NodeID]netstack.NodeID),
-		hops:   make(map[netstack.NodeID]int),
 	}
 }
 
@@ -302,23 +324,34 @@ func (p *Protocol) rebuildSymList() {
 // --- Periodic control -------------------------------------------------
 
 func (p *Protocol) sendHello() {
+	h := p.helloMessage()
+	p.node.BroadcastControl(helloBase+perAddr*(len(h.Neighbors)+len(h.MPRs)), h)
+}
+
+// helloMessage builds the HELLO this node would send now, first running
+// any MPR cover that is due.
+func (p *Protocol) helloMessage() *hello {
+	p.flushMPRs()
 	now := p.node.Now()
 	var nbs, mprList []netstack.NodeID
 	for id, nb := range p.nbrs.All() {
-		if nb.Expiry <= now {
-			continue
-		}
 		// Both heard (asymmetric) and symmetric links are advertised;
 		// hearing oneself in a HELLO is what upgrades a link to
 		// symmetric, so asymmetric links must be included to
 		// bootstrap.
-		nbs = append(nbs, id) //slrlint:allow mapiter HELLO advertises a set; receivers only test membership, order never reaches output (PR 1 goldens)
-		if _, isMPR := p.mprs[id]; isMPR {
-			mprList = append(mprList, id) //slrlint:allow mapiter MPR list is a set for the receiver's SelectsMe membership test
+		if nb.Expiry > now {
+			nbs = append(nbs, id)
 		}
 	}
-	h := &hello{From: p.self, Neighbors: nbs, MPRs: mprList}
-	p.node.BroadcastControl(helloBase+perAddr*(len(nbs)+len(mprList)), h)
+	// Sorted, so receivers can compare the list with the two-hop set they
+	// stored from the previous HELLO in one lockstep walk.
+	slices.Sort(nbs)
+	for _, id := range nbs {
+		if _, isMPR := p.mprs[id]; isMPR {
+			mprList = append(mprList, id)
+		}
+	}
+	return &hello{From: p.self, Neighbors: nbs, MPRs: mprList}
 }
 
 func (p *Protocol) sendTC() {
@@ -342,10 +375,10 @@ func (p *Protocol) sendTC() {
 func (p *Protocol) expire() {
 	now := p.node.Now()
 	if p.nbrs.Expire(now) {
-		// The sweep removes neighbors and prunes two-hop sets in bulk;
-		// re-derive the symmetric slice and invalidate both caches
-		// rather than attributing each individual removal. Once a
-		// second, this is noise next to the per-hello savings.
+		// The sweep removes neighbors in bulk; re-derive the symmetric
+		// slice and invalidate both caches rather than attributing each
+		// individual removal. Once a second, this is noise next to the
+		// per-hello savings.
 		p.dirty = true
 		p.linkVer++
 		p.mprInVer++
@@ -370,7 +403,7 @@ func (p *Protocol) expire() {
 	}
 	p.seenTC.Sweep(now)
 	if p.dirty {
-		p.selectMPRs()
+		p.markMPRsDue()
 	}
 }
 
@@ -421,48 +454,38 @@ func (p *Protocol) handleHello(from netstack.NodeID, h *hello) {
 			break
 		}
 	}
-	// Two-hop neighborhood from the neighbor's symmetric set. Only a
-	// changed key set invalidates the MPR cache; the common steady-state
-	// hello re-advertises the same neighbors and merely refreshes their
-	// deadlines.
-	same, count := true, 0
+	// Two-hop neighborhood from the neighbor's advertised set, which the
+	// Touch above keeps alive for as long as the neighbor itself. HELLOs
+	// list neighbors sorted by id and TwoHopList keeps that order, so one
+	// lockstep walk tells whether the set changed. Only a changed set
+	// invalidates the MPR cache.
+	i := 0
+	same := true
 	for _, n := range h.Neighbors {
 		if n == p.self {
 			continue
 		}
-		count++
-		if _, ok := nb.TwoHop[n]; !ok {
+		if i == len(nb.TwoHopList) || nb.TwoHopList[i] != n {
 			same = false
+			break
 		}
+		i++
 	}
-	changed := !same || count != len(nb.TwoHop)
-	if changed {
-		clear(nb.TwoHop)
+	if !same || i != len(nb.TwoHopList) {
 		nb.TwoHopList = nb.TwoHopList[:0]
-		p.mprInVer++
-	}
-	exp := now + p.cfg.NeighborHold
-	// The TwoHop deadlines below are written outside Touch; report them so
-	// the table's sweep horizon stays a true lower bound. (exp equals the
-	// Touch deadline above, so this is a no-op compare in practice, but the
-	// contract belongs to the writer, not to luck.)
-	p.nbrs.Observe(exp)
-	for _, n := range h.Neighbors {
-		if n == p.self {
-			continue
-		}
-		if changed {
-			if _, ok := nb.TwoHop[n]; !ok {
-				nb.TwoHopList = append(nb.TwoHopList, n)
+		for _, n := range h.Neighbors {
+			if n == p.self {
+				continue
+			}
+			nb.TwoHopList = append(nb.TwoHopList, n)
+			if n > nb.TwoHopMax {
+				nb.TwoHopMax = n
 			}
 		}
-		if n > nb.TwoHopMax {
-			nb.TwoHopMax = n
-		}
-		nb.TwoHop[n] = exp
+		p.mprInVer++
 	}
 	p.dirty = true
-	p.selectMPRs()
+	p.markMPRsDue()
 }
 
 func (p *Protocol) handleTC(from netstack.NodeID, m *tc) {
@@ -527,20 +550,36 @@ func sameAdvertised(stored, incoming []netstack.NodeID) bool {
 // wraparound comparison.
 func seqNewer(stored, incoming uint32) bool { return rcommon.SeqGT(stored, incoming) }
 
+// markMPRsDue records that the MPR inputs may have changed: the cover is
+// owed, as of now, and runs at the next flushMPRs.
+func (p *Protocol) markMPRsDue() {
+	p.mprDue = true
+	p.mprDueAt = p.node.Now()
+}
+
+// flushMPRs runs the owed MPR cover, if any, at the instant it became due.
+// Callers must flush before reading the set or changing its inputs
+// outside a trigger.
+func (p *Protocol) flushMPRs() {
+	if p.mprDue {
+		p.mprDue = false
+		p.selectMPRs(p.mprDueAt)
+	}
+}
+
 // selectMPRs runs the greedy set cover of the strict two-hop neighborhood
-// — unless the one/two-hop neighborhood provably has not changed since the
-// last run (unchanged structure version, clock before the expiry horizon),
-// in which case the cached set is already exactly what the cover would
-// produce.
+// as of now — unless the one/two-hop neighborhood provably has not changed
+// since the last run (unchanged structure version, now before the expiry
+// horizon), in which case the cached set is already exactly what the cover
+// would produce.
 //
 // The cover runs over bitsets indexed by node id and the flat TwoHopList
-// mirrors, not the TwoHop maps: node ids are dense in every scenario, so
-// membership is one shift+mask instead of a map probe, and the scratch
-// bitsets are reused across runs. Cover counts are order-independent sums
-// and the candidate scan walks liveSym in sorted id order, so the selected
-// set is identical to the map-based cover's.
-func (p *Protocol) selectMPRs() {
-	now := p.node.Now()
+// sets: node ids are dense in every scenario, so membership is one
+// shift+mask instead of a map probe, and the scratch bitsets are reused
+// across runs. Cover counts are order-independent sums and the candidate
+// scan walks liveSym in sorted id order, so the selected set is identical
+// to a map-based cover's.
+func (p *Protocol) selectMPRs(now sim.Time) {
 	if p.mprVer == p.mprInVer && now < p.mprHorizon {
 		return
 	}
@@ -679,6 +718,22 @@ func (b *bitset) reset(n int) {
 	clear(*b)
 }
 
+// add inserts i, growing the set if i lies past its end, and reports
+// whether i was absent. Growth keeps the backing array, so a set sized by
+// earlier use never allocates again.
+func (b *bitset) add(i netstack.NodeID) bool {
+	w := int(i >> 6)
+	for len(*b) <= w {
+		*b = append(*b, 0)
+	}
+	bit := uint64(1) << (uint(i) & 63)
+	if (*b)[w]&bit != 0 {
+		return false
+	}
+	(*b)[w] |= bit
+	return true
+}
+
 func (b bitset) set(i netstack.NodeID)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) clearBit(i netstack.NodeID) { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b bitset) has(i netstack.NodeID) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -701,8 +756,8 @@ func (p *Protocol) recompute() {
 	p.dirty = false
 	p.rebuilds++
 	clear(p.routes)
-	clear(p.hops)
-	p.hops[p.self] = 0
+	clear(p.seen)
+	p.seen.add(p.self)
 	horizon := forever
 
 	// First ring: symmetric neighbors, visited in id order — the BFS
@@ -718,7 +773,7 @@ func (p *Protocol) recompute() {
 		}
 		queue = append(queue, e.id)
 		p.routes[e.id] = e.id
-		p.hops[e.id] = 1
+		p.seen.add(e.id)
 		if e.nb.Expiry < horizon {
 			horizon = e.nb.Expiry
 		}
@@ -736,13 +791,9 @@ func (p *Protocol) recompute() {
 			horizon = te.expiry
 		}
 		for _, adv := range te.advertised {
-			if adv == p.self {
+			if !p.seen.add(adv) {
 				continue
 			}
-			if _, known := p.hops[adv]; known {
-				continue
-			}
-			p.hops[adv] = p.hops[cur] + 1
 			p.routes[adv] = p.routes[cur]
 			queue = append(queue, adv)
 		}
@@ -792,12 +843,15 @@ func (p *Protocol) RecvData(from netstack.NodeID, pkt *netstack.DataPacket) {
 // for all protocols in the evaluation.
 func (p *Protocol) DataFailed(to netstack.NodeID, pkt *netstack.DataPacket) {
 	p.removeNeighbor(to)
-	p.selectMPRs()
+	p.markMPRsDue()
 	p.node.DropData(pkt, rcommon.DropLinkLost)
 }
 
-// ControlFailed implements netstack.Protocol.
+// ControlFailed implements netstack.Protocol. Unlike DataFailed it does not
+// trigger an MPR cover, so a cover owed from before the removal runs first,
+// on the inputs it was owed for.
 func (p *Protocol) ControlFailed(to netstack.NodeID, msg any) {
+	p.flushMPRs()
 	p.removeNeighbor(to)
 }
 

@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -73,10 +74,11 @@ func TestMPRSelectionCoversTwoHop(t *testing.T) {
 	w := rtest.New(1, 120, factory, pts, nil)
 	w.Sim.RunUntil(15 * time.Second)
 	p := w.Nodes[0].Protocol().(*Protocol)
-	if _, ok := p.mprs[1]; !ok {
+	mprs := p.helloMessage().MPRs
+	if !slices.Contains(mprs, 1) {
 		t.Error("node 1 (only path to 2) not selected as MPR")
 	}
-	if _, ok := p.mprs[3]; !ok {
+	if !slices.Contains(mprs, 3) {
 		t.Error("node 3 (only path to 4) not selected as MPR")
 	}
 }
@@ -88,9 +90,13 @@ func TestTCFloodBuildsRemoteRoutes(t *testing.T) {
 	if got := p.SuccessorsOf(5); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("route 0->5 next hop = %v, want [1]", got)
 	}
-	p.recompute()
-	if p.hops[5] != 5 {
-		t.Fatalf("hops to 5 = %d, want 5", p.hops[5])
+	w.Send(0, 5)
+	w.Sim.RunUntil(26 * time.Second)
+	if w.MX.DataRecv != 1 {
+		t.Fatalf("delivered %d, want 1 (drops %v)", w.MX.DataRecv, w.MX.DataDrops)
+	}
+	if h := w.MX.MeanHops(); h != 5 {
+		t.Fatalf("hops to 5 = %v, want 5", h)
 	}
 }
 
@@ -151,16 +157,19 @@ func TestDeliveryInMobileNetwork(t *testing.T) {
 }
 
 func TestRecomputeAllocFree(t *testing.T) {
-	// Steady-state rebuilds must reuse the preallocated route/hop maps,
-	// BFS queue, and MPR bitsets: zero allocations once the scratch is
-	// warm, even when the version check is defeated and the full BFS +
-	// greedy cover actually run.
+	// Steady-state rebuilds must reuse the preallocated route map, BFS
+	// visited set and queue, and MPR bitsets: zero allocations once the
+	// scratch is warm, even when the version check is defeated and the
+	// full BFS + greedy cover actually run. A HELLO receipt that changes a
+	// two-hop set rewrites TwoHopList in place and must not allocate
+	// either.
 	w := rtest.New(1, 120, factory, rtest.Chain(5, 100), nil)
 	w.Sim.RunUntil(20 * time.Second)
 	p := w.Nodes[2].Protocol().(*Protocol)
+	now := w.Sim.Now()
 	// Warm the scratch with one forced full rebuild of each computation.
 	p.dirty, p.linkVer, p.mprInVer = true, p.linkVer+1, p.mprInVer+1
-	p.selectMPRs()
+	p.selectMPRs(now)
 	p.recompute()
 	if allocs := testing.AllocsPerRun(100, func() {
 		p.dirty = true
@@ -171,9 +180,29 @@ func TestRecomputeAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		p.mprInVer++
-		p.selectMPRs()
+		p.selectMPRs(now)
 	}); allocs != 0 {
 		t.Errorf("steady-state selectMPRs allocates %.0f objects/run, want 0", allocs)
+	}
+	// Node 3's HELLO alternates between two neighbor lists, so every
+	// receipt changes node 2's two-hop set through 3.
+	hellos := [2]*hello{
+		{From: 3, Neighbors: []netstack.NodeID{2, 4}},
+		{From: 3, Neighbors: []netstack.NodeID{0, 2, 4}},
+	}
+	p.handleHello(3, hellos[1])
+	p.flushMPRs()
+	i := 0
+	runs := p.mprRuns
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.handleHello(3, hellos[i%2])
+		p.flushMPRs()
+		i++
+	}); allocs != 0 {
+		t.Errorf("steady-state handleHello with a changed list allocates %.0f objects/run, want 0", allocs)
+	}
+	if p.mprRuns == runs {
+		t.Error("changed two-hop sets never ran the MPR cover")
 	}
 }
 
@@ -199,17 +228,32 @@ func TestRecomputeSkipsWhenInputsUnchanged(t *testing.T) {
 	if p.rebuilds != before+1 {
 		t.Errorf("recompute after version bump ran %d times, want 1", p.rebuilds-before)
 	}
+	now := w.Sim.Now()
+	p.flushMPRs()
 	mprBefore := p.mprRuns
 	for i := 0; i < 5; i++ {
-		p.selectMPRs()
+		p.selectMPRs(now)
 	}
 	if p.mprRuns != mprBefore {
 		t.Errorf("selectMPRs ran %d times on unchanged inputs, want 0", p.mprRuns-mprBefore)
 	}
 	p.mprInVer++
-	p.selectMPRs()
+	p.selectMPRs(now)
 	if p.mprRuns != mprBefore+1 {
 		t.Errorf("selectMPRs after version bump ran %d times, want 1", p.mprRuns-mprBefore)
+	}
+	// HELLO receipts only mark the cover due, however many of them change
+	// a two-hop set; building the next HELLO runs it once.
+	mprBefore = p.mprRuns
+	for i := 0; i < 5; i++ {
+		p.handleHello(3, &hello{From: 3, Neighbors: []netstack.NodeID{2, 4, netstack.NodeID(10 + i)}})
+	}
+	if p.mprRuns != mprBefore {
+		t.Errorf("HELLO receipts ran the cover %d times, want 0", p.mprRuns-mprBefore)
+	}
+	p.helloMessage()
+	if p.mprRuns != mprBefore+1 {
+		t.Errorf("building a HELLO after changed receipts ran the cover %d times, want 1", p.mprRuns-mprBefore)
 	}
 }
 
@@ -236,22 +280,21 @@ func TestMPRCoverProperty(t *testing.T) {
 			p.mprInVer++
 			for j := 0; j < rng.Intn(6); j++ {
 				th := netstack.NodeID(200 + rng.Intn(10))
-				if _, ok := nb.TwoHop[th]; !ok {
+				if !slices.Contains(nb.TwoHopList, th) {
 					nb.TwoHopList = append(nb.TwoHopList, th)
 				}
 				if th > nb.TwoHopMax {
 					nb.TwoHopMax = th
 				}
-				nb.TwoHop[th] = sim.Time(time.Hour)
 				twoHopUniverse[th] = true
 			}
 		}
-		p.selectMPRs()
+		p.selectMPRs(0)
 		// Verify cover.
 		covered := make(map[netstack.NodeID]bool)
 		for id := range p.mprs {
 			nb, _ := p.nbrs.Get(id)
-			for th := range nb.TwoHop {
+			for _, th := range nb.TwoHopList {
 				covered[th] = true
 			}
 		}

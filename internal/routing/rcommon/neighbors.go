@@ -13,18 +13,15 @@ type Neighbor struct {
 	// Expiry is the hello-liveness deadline; a neighbor whose hellos stop
 	// ages out at Expiry.
 	Expiry sim.Time
-	// TwoHop maps the neighbor's own symmetric neighbors to their
-	// liveness deadlines — the two-hop neighborhood MPR selection covers.
-	TwoHop map[netstack.NodeID]sim.Time
-	// TwoHopList mirrors TwoHop's key set as a flat slice so hot loops can
-	// iterate it without map-iteration cost. The owning protocol rebuilds
-	// it whenever it rewrites the key set; Expire keeps it in sync when
-	// pruning. Protocols that never populate it simply leave it nil.
+	// TwoHopList is the neighbor set the neighbor last advertised, less
+	// this node — the two-hop neighborhood MPR selection covers. It is
+	// written whole from each hello, so it lives exactly as long as the
+	// entry: it shares Expiry and needs no deadlines of its own. Protocols
+	// that never populate it simply leave it nil.
 	TwoHopList []netstack.NodeID
 	// TwoHopMax is a conservative upper bound on the ids in TwoHopList,
-	// maintained by the writer on insert and never lowered by pruning. It
-	// lets id-indexed scratch (MPR cover bitsets) be sized without
-	// scanning the list.
+	// maintained by the writer and never lowered. It lets id-indexed
+	// scratch (MPR cover bitsets) be sized without scanning the list.
 	TwoHopMax netstack.NodeID
 	// SelectsMe marks that the neighbor chose this node as multipoint
 	// relay.
@@ -41,12 +38,10 @@ type Neighbor struct {
 // protocol-local maps this table replaces required.
 type NeighborTable struct {
 	m map[netstack.NodeID]*Neighbor
-	// horizon is a lower bound on every liveness deadline in the table —
-	// neighbor expiries and two-hop expiries alike. Before it, a sweep
-	// provably removes nothing and Expire returns immediately; each real
-	// sweep recomputes the exact minimum. Touch maintains the bound for
-	// the deadlines it writes; callers that write TwoHop deadlines
-	// directly must report them via Observe.
+	// horizon is a lower bound on every liveness deadline in the table.
+	// Before it, a sweep provably removes nothing and Expire returns
+	// immediately; each real sweep recomputes the exact minimum, and Touch
+	// lowers it for the deadlines it writes.
 	horizon sim.Time
 }
 
@@ -69,21 +64,14 @@ func (t *NeighborTable) Get(id netstack.NodeID) (*Neighbor, bool) {
 func (t *NeighborTable) Touch(id netstack.NodeID, expiry sim.Time) *Neighbor {
 	nb, ok := t.m[id]
 	if !ok {
-		nb = &Neighbor{TwoHop: make(map[netstack.NodeID]sim.Time)}
+		nb = &Neighbor{}
 		t.m[id] = nb
 	}
 	nb.Expiry = expiry
-	t.Observe(expiry)
-	return nb
-}
-
-// Observe lowers the sweep horizon to cover a liveness deadline written
-// outside Touch (a caller-managed TwoHop entry). Deadlines at or past the
-// current horizon need no reporting, but reporting them is harmless.
-func (t *NeighborTable) Observe(expiry sim.Time) {
 	if expiry < t.horizon {
 		t.horizon = expiry
 	}
+	return nb
 }
 
 // Remove drops id on link-layer failure evidence; it reports whether an
@@ -96,10 +84,9 @@ func (t *NeighborTable) Remove(id netstack.NodeID) bool {
 	return true
 }
 
-// Expire ages out neighbors whose hellos stopped and prunes stale two-hop
-// entries of the survivors. It reports whether anything changed. Sweeps
-// before the horizon return immediately: no deadline in the table has
-// passed, so a full scan would find nothing.
+// Expire ages out neighbors whose hellos stopped. It reports whether
+// anything changed. Sweeps before the horizon return immediately: no
+// deadline in the table has passed, so a full scan would find nothing.
 func (t *NeighborTable) Expire(now sim.Time) bool {
 	if now < t.horizon {
 		return false
@@ -115,25 +102,6 @@ func (t *NeighborTable) Expire(now sim.Time) bool {
 		}
 		if nb.Expiry < min {
 			min = nb.Expiry
-		}
-		pruned := false
-		for th, exp := range nb.TwoHop {
-			if exp <= now {
-				delete(nb.TwoHop, th)
-				pruned = true
-				changed = true
-			} else if exp < min {
-				min = exp
-			}
-		}
-		if pruned && len(nb.TwoHopList) > 0 {
-			kept := nb.TwoHopList[:0]
-			for _, th := range nb.TwoHopList {
-				if _, ok := nb.TwoHop[th]; ok {
-					kept = append(kept, th)
-				}
-			}
-			nb.TwoHopList = kept
 		}
 	}
 	t.horizon = min

@@ -65,7 +65,6 @@ func TestNeighborTableLiveness(t *testing.T) {
 	nt := NewNeighborTable()
 	nb := nt.Touch(3, 6*time.Second)
 	nb.Sym = true
-	nb.TwoHop[9] = 2 * time.Second
 	if got, ok := nt.Get(3); !ok || got != nb {
 		t.Fatal("Touch must create and return the entry")
 	}
@@ -75,11 +74,8 @@ func TestNeighborTableLiveness(t *testing.T) {
 	if nb.Expiry != 8*time.Second {
 		t.Fatalf("Touch did not extend liveness: %v", nb.Expiry)
 	}
-	if !nt.Expire(3 * time.Second) {
-		t.Fatal("stale two-hop entry must count as a change")
-	}
-	if _, stale := nb.TwoHop[9]; stale {
-		t.Fatal("stale two-hop entry survived Expire")
+	if nt.Expire(3 * time.Second) {
+		t.Fatal("a sweep before every deadline must remove nothing")
 	}
 	if nt.Expire(3 * time.Second) {
 		t.Fatal("second expire at the same instant must be a no-op")
@@ -95,20 +91,19 @@ func TestNeighborTableLiveness(t *testing.T) {
 		t.Fatal("link-layer removal must drop the entry immediately")
 	}
 
-	// A TwoHop deadline written directly (outside Touch) after a sweep has
-	// raised the horizon must be reported via Observe; the early-return
-	// would otherwise hide its expiry from the next sweep.
-	late := nt.Touch(6, 20*time.Second)
+	// A deadline written after a sweep has raised the horizon must lower
+	// it again; the early return would otherwise hide its expiry from the
+	// next sweep.
+	nt.Touch(6, 20*time.Second)
 	if nt.Expire(2 * time.Second) {
 		t.Fatal("nothing should expire at 2s")
 	}
-	late.TwoHop[7] = 10 * time.Second
-	nt.Observe(10 * time.Second)
-	if !nt.Expire(11 * time.Second) {
-		t.Fatal("observed two-hop deadline must be swept once due")
+	nt.Touch(7, 10*time.Second)
+	if !nt.Expire(11*time.Second) || nt.Len() != 1 {
+		t.Fatal("a deadline below the swept horizon must expire once due")
 	}
-	if _, stale := late.TwoHop[7]; stale {
-		t.Fatal("stale two-hop entry survived the observed sweep")
+	if _, ok := nt.Get(6); !ok {
+		t.Fatal("a live neighbor must survive the sweep")
 	}
 }
 
