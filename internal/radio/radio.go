@@ -16,6 +16,18 @@
 // evaluated, so a frame costs one exact distance test per list entry. The
 // O(N) linear scan remains as the reference path, and the two are
 // byte-identical for the same seed.
+//
+// Every reception of a frame ends at the same instant, so a frame heard
+// by anyone schedules exactly one kernel event, its txEnd, which ends the
+// receptions in audible (registration) order; a frame nobody hears
+// schedules nothing. This fires in the order one event per receiver
+// would: those events would share the frame's end time and take
+// consecutive sequence numbers (Transmit schedules nothing between them),
+// so nothing could fire between them. In both designs a receiver's
+// OnFrame runs after earlier receivers' receptions have ended and before
+// later ones' have, so a frame it transmits corrupts the same receptions,
+// and every event it schedules fires after the whole group. No handle to
+// a reception exists, so none is ever cancelled.
 package radio
 
 import (
@@ -129,8 +141,8 @@ func DefaultParams() Params {
 // rx tracks one in-progress reception at a station. rx structs are pooled
 // per Channel: a reception is the hottest allocation in a run (every frame
 // allocates one per audible receiver), so endReception returns them to a
-// freelist and allocRx reuses them, together with their end-of-reception
-// closure (built once per pooled node, capturing only the node itself).
+// freelist and allocRx reuses them. An rx has no event of its own; the
+// frame's txEnd ends it.
 type rx struct {
 	frame     *Frame
 	corrupted bool
@@ -138,7 +150,15 @@ type rx struct {
 	// for the capture comparison.
 	dist float64
 	st   *station // receiving station, set for the node's current life
-	done func()   // calls endReception(rx); allocated once per node
+}
+
+// txEnd is the single end-of-transmission event of one frame: when it
+// fires it ends the frame's receptions in audible (registration) order.
+// txEnds are pooled per Channel like rx, each with its fire closure built
+// once per pooled node.
+type txEnd struct {
+	rxs  []*rx
+	fire func()
 }
 
 // station is per-node channel state.
@@ -178,6 +198,7 @@ type Channel struct {
 	grid   *grid      // nil = linear scan
 	hits   []hit      // scratch for audible-set results
 	freeRx []*rx      // reception freelist (see rx)
+	freeTx []*txEnd   // end-of-transmission freelist (see txEnd)
 
 	// Stats counters.
 	frames     uint64
@@ -371,13 +392,44 @@ func (c *Channel) Transmit(f *Frame) {
 	}
 
 	pos := sender.mob.Position(now)
-	for _, h := range c.audible(sender, pos) {
-		c.beginReception(h.st, f, end, h.d2)
+	hits := c.audible(sender, pos)
+	if len(hits) == 0 {
+		return
 	}
+	t := c.allocTxEnd()
+	for _, h := range hits {
+		t.rxs = append(t.rxs, c.beginReception(h.st, f, end, h.d2))
+	}
+	c.sim.At(end, t.fire)
 }
 
-// allocRx takes a reception node from the freelist, or builds a fresh one
-// with its reusable end-of-reception closure.
+// allocTxEnd takes an end-of-transmission node from the freelist, or
+// builds a fresh one with its reusable fire closure.
+func (c *Channel) allocTxEnd() *txEnd {
+	if n := len(c.freeTx); n > 0 {
+		t := c.freeTx[n-1]
+		c.freeTx[n-1] = nil
+		c.freeTx = c.freeTx[:n-1]
+		return t
+	}
+	t := &txEnd{}
+	t.fire = func() { c.fireTxEnd(t) }
+	return t
+}
+
+// fireTxEnd ends t's receptions in order. A receiver's OnFrame may
+// transmit and so take a txEnd from the freelist; t goes back only after
+// the loop, so that cannot hand out the node being walked.
+func (c *Channel) fireTxEnd(t *txEnd) {
+	for _, r := range t.rxs {
+		c.endReception(r)
+	}
+	clear(t.rxs)
+	t.rxs = t.rxs[:0]
+	c.freeTx = append(c.freeTx, t)
+}
+
+// allocRx takes a reception node from the freelist, or builds a fresh one.
 func (c *Channel) allocRx(st *station, f *Frame, dist float64) *rx {
 	var r *rx
 	if n := len(c.freeRx); n > 0 {
@@ -386,13 +438,14 @@ func (c *Channel) allocRx(st *station, f *Frame, dist float64) *rx {
 		c.freeRx = c.freeRx[:n-1]
 	} else {
 		r = &rx{}
-		r.done = func() { c.endReception(r) }
 	}
 	r.st, r.frame, r.dist, r.corrupted = st, f, dist, false
 	return r
 }
 
-func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 float64) {
+// beginReception starts a reception of f at st and returns it; the
+// frame's txEnd ends it at end.
+func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 float64) *rx {
 	r := c.allocRx(st, f, math.Sqrt(dist2))
 	// Overlapping receptions corrupt each other unless one captures: its
 	// sender is CaptureRatio times closer than the interferer's.
@@ -415,7 +468,7 @@ func (c *Channel) beginReception(st *station, f *Frame, end sim.Time, dist2 floa
 	if st.busyTill < end {
 		st.busyTill = end
 	}
-	c.sim.At(end, r.done)
+	return r
 }
 
 // captures reports whether reception r survives interference from other:

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -232,5 +233,118 @@ func TestCaptureDisabled(t *testing.T) {
 	s.Run()
 	if len(recs[0].frames) != 0 {
 		t.Fatalf("capture disabled but frame decoded: %v", recs[0].frames)
+	}
+}
+
+// relay records its frames and, on a frame with Seq trigger, transmits
+// reply from inside OnFrame: at the instant that frame ends.
+type relay struct {
+	recorder
+	ch      *Channel
+	trigger uint32
+	reply   *Frame
+}
+
+func (r *relay) OnFrame(f *Frame) {
+	r.recorder.OnFrame(f)
+	if f.Seq == r.trigger {
+		r.ch.Transmit(r.reply)
+	}
+}
+
+func seqs(fs []*Frame) []uint32 {
+	out := make([]uint32, 0, len(fs))
+	for _, f := range fs {
+		out = append(out, f.Seq)
+	}
+	return out
+}
+
+// TestTransmitAtEndInstant: a receiver whose OnFrame transmits at the
+// instant a frame ends. The frame's receptions end in registration order,
+// so receivers registered before the relay have already decoded it, and
+// those after it that hear the relay are still receiving and get
+// corrupted, exactly as with one end event per receiver.
+func TestTransmitAtEndInstant(t *testing.T) {
+	// Range 100 m, capture ratio 1.78. Registration order and x:
+	//   0 sender x=0, 1 early x=60, 2 relay x=40, 3 late x=80, 4 far x=-90.
+	// Frame 1 from 0 is heard by 1, 2, 3 and 4 (all within 100 m of 0).
+	// At its end, 2 decodes it and sends frame 2, heard by 0 (40 m),
+	// 1 (20 m) and 3 (40 m); 4 is 130 m from 2.
+	s := sim.New(1)
+	p := DefaultParams()
+	p.Range = 100
+	ch := NewChannel(s, p)
+	rl := &relay{ch: ch, trigger: 1, reply: &Frame{From: 2, To: Broadcast, Kind: Data, Size: 100, Seq: 2}}
+	recs := []*recorder{{}, {}, &rl.recorder, {}, {}}
+	recvs := []Receiver{recs[0], recs[1], rl, recs[3], recs[4]}
+	for i, x := range []float64{0, 60, 40, 80, -90} {
+		ch.Register(NodeID(i), &mobility.Static{At: geo.Point{X: x}}, recvs[i])
+	}
+	ch.Transmit(&Frame{From: 0, To: Broadcast, Kind: Data, Size: 100, Seq: 1})
+	s.Run()
+
+	// Expected by hand:
+	//   - 1 ended frame 1 before 2 transmitted: decodes 1, then 2.
+	//   - 2 decodes frame 1 and does not hear its own frame 2.
+	//   - 3 is still receiving frame 1 (sender 80 m away) when frame 2
+	//     (sender 40 m away) starts: 40 < 1.78·80, so frame 1 is
+	//     corrupted (one collision); 80 >= 1.78·40 = 71.2, so frame 2
+	//     captures and is decoded.
+	//   - 4 is out of 2's range and decodes frame 1.
+	//   - 0 finished sending frame 1 at the instant frame 2 starts, so it
+	//     decodes frame 2.
+	want := [][]uint32{{2}, {1, 2}, {1}, {2}, {1}}
+	for i, w := range want {
+		if got := seqs(recs[i].frames); !slices.Equal(got, w) {
+			t.Errorf("node %d decoded seqs %v, want %v", i, got, w)
+		}
+	}
+	if got := ch.Collisions(); got != 1 {
+		t.Errorf("Collisions = %d, want 1", got)
+	}
+	if got := ch.Frames(); got != 2 {
+		t.Errorf("Frames = %d, want 2", got)
+	}
+}
+
+func TestUnheardTransmitSchedulesNothing(t *testing.T) {
+	s, ch, _ := build(t, 0, 500)
+	ch.Transmit(&Frame{From: 0, To: 1, Kind: Data, Size: 100})
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("Pending = %d after a transmission nobody hears, want 0", n)
+	}
+	if ch.Frames() != 1 {
+		t.Fatalf("Frames = %d, want 1", ch.Frames())
+	}
+}
+
+type countRecv struct{ n int }
+
+func (c *countRecv) OnFrame(*Frame) { c.n++ }
+
+// TestTransmitAllocFree pins a steady-state transmission and its drain
+// at zero allocations: receptions and end-of-transmission events come
+// from the channel's pools.
+func TestTransmitAllocFree(t *testing.T) {
+	s := sim.New(1)
+	p := DefaultParams()
+	p.Range = 100
+	ch := NewChannel(s, p)
+	cnt := &countRecv{}
+	for i, x := range []float64{0, 50, 90} {
+		ch.Register(NodeID(i), &mobility.Static{At: geo.Point{X: x}}, cnt)
+	}
+	f := &Frame{From: 0, To: Broadcast, Kind: Data, Size: 100}
+	step := ch.AirTime(f.Size) + time.Millisecond
+	allocs := testing.AllocsPerRun(100, func() {
+		ch.Transmit(f)
+		s.RunUntil(s.Now() + step)
+	})
+	if allocs != 0 {
+		t.Fatalf("Transmit + drain allocates %.1f times per frame, want 0", allocs)
+	}
+	if cnt.n != 2*101 {
+		t.Fatalf("decoded %d frames, want %d", cnt.n, 2*101)
 	}
 }

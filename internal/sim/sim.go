@@ -90,13 +90,12 @@ const eventChunk = 128
 
 // Simulator is a discrete-event scheduler with a virtual clock.
 type Simulator struct {
-	now    Time
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	maxGas uint64 // safety bound on total events; 0 = unlimited
-	free   []*Event
-	npend  int
+	now   Time
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
+	free  []*Event
+	npend int
 
 	// Ladder-queue tiers; see ladder.go for the structure and invariants.
 	bottom   []*Event // indexed 4-ary heap of imminent events
@@ -123,10 +122,6 @@ func (s *Simulator) Now() Time { return s.now }
 // Rand returns the simulation RNG. All randomness in a run must come from
 // this generator so a seed fully determines the run.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// SetEventLimit bounds the total number of events fired by Run; 0 removes
-// the bound. It is a guard against runaway event storms in tests.
-func (s *Simulator) SetEventLimit(n uint64) { s.maxGas = n }
 
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
@@ -244,9 +239,6 @@ func (s *Simulator) Step() bool {
 // drains. Events scheduled exactly at end do run.
 func (s *Simulator) RunUntil(end Time) {
 	for len(s.bottom) > 0 || s.refill() {
-		if s.maxGas != 0 && s.fired >= s.maxGas {
-			return
-		}
 		if s.bottom[0].at > end {
 			s.now = end
 			return
@@ -261,8 +253,5 @@ func (s *Simulator) RunUntil(end Time) {
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
 	for s.Step() {
-		if s.maxGas != 0 && s.fired >= s.maxGas {
-			return
-		}
 	}
 }

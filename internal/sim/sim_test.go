@@ -280,18 +280,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestEventLimit(t *testing.T) {
-	s := New(1)
-	s.SetEventLimit(10)
-	var tick func()
-	tick = func() { s.After(time.Millisecond, tick) }
-	s.After(0, tick)
-	s.RunUntil(time.Hour)
-	if s.Fired() != 10 {
-		t.Fatalf("fired %d events, want 10", s.Fired())
-	}
-}
-
 func TestPending(t *testing.T) {
 	s := New(1)
 	s.At(time.Second, func() {})
